@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro.records import JsonRecord
+
 __all__ = ["TaskOutcome", "CampaignReport"]
 
 #: wall-clock histogram bucket upper bounds (seconds); last bucket is open
@@ -24,7 +26,7 @@ _HISTOGRAM_EDGES = (0.1, 0.5, 1.0, 5.0, 30.0, 120.0, 600.0)
 
 
 @dataclass(frozen=True)
-class TaskOutcome:
+class TaskOutcome(JsonRecord):
     """Terminal state of one campaign task."""
 
     task_id: str
@@ -52,36 +54,9 @@ class TaskOutcome:
     def retries(self) -> int:
         return max(0, self.attempts - 1)
 
-    def to_json(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "status": self.status,
-            "attempts": self.attempts,
-            "duration": self.duration,
-            "seed": self.seed,
-            "result_digest": self.result_digest,
-            "failure_kinds": list(self.failure_kinds),
-            "error_type": self.error_type,
-            "error_message": self.error_message,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TaskOutcome":
-        return cls(
-            task_id=data["task_id"],
-            status=data["status"],
-            attempts=int(data.get("attempts", 1)),
-            duration=float(data.get("duration", 0.0)),
-            seed=data.get("seed"),
-            result_digest=data.get("result_digest"),
-            failure_kinds=tuple(data.get("failure_kinds", ())),
-            error_type=data.get("error_type"),
-            error_message=data.get("error_message"),
-        )
-
 
 @dataclass
-class CampaignReport:
+class CampaignReport(JsonRecord):
     """Everything a finished (possibly degraded) campaign has to say."""
 
     campaign_id: str
@@ -129,26 +104,14 @@ class CampaignReport:
     # serialization
     # ------------------------------------------------------------------
     def to_json(self) -> dict:
+        """The fields plus the derived ``status``, ``quarantined`` and
+        ``total_retries`` (ignored again by :meth:`from_json`)."""
         return {
-            "campaign_id": self.campaign_id,
+            **super().to_json(),
             "status": self.status,
-            "outcomes": [o.to_json() for o in self.outcomes],
             "quarantined": list(self.quarantined),
-            "wall_clock": self.wall_clock,
-            "resumed_tasks": self.resumed_tasks,
             "total_retries": self.total_retries,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CampaignReport":
-        return cls(
-            campaign_id=data["campaign_id"],
-            outcomes=[
-                TaskOutcome.from_json(o) for o in data.get("outcomes", ())
-            ],
-            wall_clock=float(data.get("wall_clock", 0.0)),
-            resumed_tasks=int(data.get("resumed_tasks", 0)),
-        )
 
     def canonical(self) -> dict:
         """The deterministic subset: what was computed, not how it went.

@@ -16,11 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.records import JsonRecord
+
 __all__ = ["RetryPolicy"]
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(JsonRecord):
     """How often and how patiently a failed task is re-run.
 
     ``retries`` is the budget *after* the first attempt: a task is run at
@@ -66,22 +68,3 @@ class RetryPolicy:
         if self.jitter:
             interval *= 1.0 - self.jitter * float(rng.random())
         return interval
-
-    def to_json(self) -> dict:
-        return {
-            "retries": self.retries,
-            "base_delay": self.base_delay,
-            "backoff": self.backoff,
-            "max_delay": self.max_delay,
-            "jitter": self.jitter,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RetryPolicy":
-        return cls(
-            retries=int(data.get("retries", 1)),
-            base_delay=float(data.get("base_delay", 0.5)),
-            backoff=float(data.get("backoff", 2.0)),
-            max_delay=float(data.get("max_delay", 30.0)),
-            jitter=float(data.get("jitter", 0.25)),
-        )

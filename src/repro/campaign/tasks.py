@@ -27,6 +27,8 @@ import inspect
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
+from repro.records import JsonRecord
+
 __all__ = [
     "CampaignTask",
     "experiment_task",
@@ -45,7 +47,7 @@ _KINDS = ("experiment", "callable")
 
 
 @dataclass(frozen=True)
-class CampaignTask:
+class CampaignTask(JsonRecord):
     """One unit of supervised work: a figure, an ablation or a sweep cell."""
 
     task_id: str
@@ -68,27 +70,6 @@ class CampaignTask:
             raise ValueError(
                 f"task timeout must be positive, got {self.timeout}"
             )
-
-    def to_json(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "kind": self.kind,
-            "spec": dict(self.spec),
-            "seed": self.seed,
-            "timeout": self.timeout,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CampaignTask":
-        seed = data.get("seed")
-        timeout = data.get("timeout")
-        return cls(
-            task_id=data["task_id"],
-            kind=data["kind"],
-            spec=dict(data.get("spec", {})),
-            seed=None if seed is None else int(seed),
-            timeout=None if timeout is None else float(timeout),
-        )
 
 
 def experiment_task(

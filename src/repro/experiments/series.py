@@ -11,11 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.records import JsonRecord
+
 __all__ = ["Series", "FigureResult"]
 
 
 @dataclass
-class Series:
+class Series(JsonRecord):
     """One labelled curve: ``y[i]`` measured at ``x[i]``.
 
     ``errors`` optionally carries Monte-Carlo standard errors (same length
@@ -45,31 +47,6 @@ class Series:
                 f"series {self.label!r}: replications length mismatch"
             )
 
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "x": list(self.x),
-            "y": list(self.y),
-            "errors": None if self.errors is None else list(self.errors),
-            "replications": (
-                None if self.replications is None else list(self.replications)
-            ),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Series":
-        errors = data.get("errors")
-        replications = data.get("replications")
-        return cls(
-            label=data["label"],
-            x=list(data["x"]),
-            y=list(data["y"]),
-            errors=None if errors is None else list(errors),
-            replications=(
-                None if replications is None else list(replications)
-            ),
-        )
-
     def value_at(self, x: float) -> float:
         """The y value measured at exactly ``x`` (KeyError style lookup)."""
         for xi, yi in zip(self.x, self.y):
@@ -82,8 +59,12 @@ class Series:
 
 
 @dataclass
-class FigureResult:
-    """A reproduced figure: metadata plus its series."""
+class FigureResult(JsonRecord):
+    """A reproduced figure: metadata plus its series.
+
+    Campaign journals persist figures as JSON, so a resumed campaign
+    rebuilds results without re-running them.
+    """
 
     figure_id: str
     title: str
@@ -102,29 +83,6 @@ class FigureResult:
     @property
     def labels(self) -> list[str]:
         return [series.label for series in self.series]
-
-    def to_json(self) -> dict:
-        """JSON-serializable dict (campaign journals persist figures this
-        way, so a resumed campaign can rebuild results without re-running)."""
-        return {
-            "figure_id": self.figure_id,
-            "title": self.title,
-            "x_label": self.x_label,
-            "y_label": self.y_label,
-            "series": [series.to_json() for series in self.series],
-            "notes": self.notes,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FigureResult":
-        return cls(
-            figure_id=data["figure_id"],
-            title=data.get("title", ""),
-            x_label=data.get("x_label", ""),
-            y_label=data.get("y_label", ""),
-            series=[Series.from_json(s) for s in data.get("series", ())],
-            notes=data.get("notes", ""),
-        )
 
     # ------------------------------------------------------------------
     # rendering

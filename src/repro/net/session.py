@@ -54,6 +54,7 @@ from repro.protocols.packets import (
     SessionJoin,
     control_intact,
 )
+from repro.records import JsonRecord
 
 __all__ = ["SenderSession", "SessionReport", "MemberState"]
 
@@ -84,7 +85,7 @@ class MemberState:
 
 
 @dataclass(frozen=True)
-class SessionReport:
+class SessionReport(JsonRecord):
     """Outcome of one finished session (``NetServer.reports``)."""
 
     session_id: int
@@ -106,26 +107,6 @@ class SessionReport:
     duration: float
     #: ejected members readmitted after a rejoin (churn survivors)
     revived: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "session_id": self.session_id,
-            "group": self.group,
-            "outcome": self.outcome,
-            "members": self.members,
-            "completed": self.completed,
-            "ejected": self.ejected,
-            "abandoned_groups": list(self.abandoned_groups),
-            "rounds_served": self.rounds_served,
-            "parities_sent": self.parities_sent,
-            "arq_fallbacks": self.arq_fallbacks,
-            "naks_received": self.naks_received,
-            "stale_naks": self.stale_naks,
-            "repolls": self.repolls,
-            "control_corrupt_discarded": self.control_corrupt_discarded,
-            "duration": self.duration,
-            "revived": self.revived,
-        }
 
 
 @dataclass

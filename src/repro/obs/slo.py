@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from repro.obs.metrics import MetricsSnapshot
+from repro.records import JsonRecord
 
 __all__ = [
     "DriftAlert",
@@ -39,7 +40,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DriftAlert:
+class DriftAlert(JsonRecord):
     """One SLO evaluation: observed vs predicted, and whether it breached."""
 
     slo: str
@@ -51,28 +52,7 @@ class DriftAlert:
     context: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "record": "alert",
-            "slo": self.slo,
-            "observed": self.observed,
-            "predicted": self.predicted,
-            "ratio": self.ratio,
-            "tolerance": self.tolerance,
-            "breached": self.breached,
-            "context": dict(self.context),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DriftAlert":
-        return cls(
-            slo=str(data["slo"]),
-            observed=float(data["observed"]),
-            predicted=float(data["predicted"]),
-            ratio=float(data["ratio"]),
-            tolerance=float(data["tolerance"]),
-            breached=bool(data["breached"]),
-            context=dict(data.get("context", {})),
-        )
+        return {"record": "alert", **super().to_json()}
 
     def describe(self) -> str:
         """One status line: ``em[np]: observed 1.23 vs predicted 1.19 ...``."""

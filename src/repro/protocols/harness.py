@@ -18,7 +18,6 @@ the run.  Chaos faults are opt-in via the ``fault_plan`` argument.
 
 from __future__ import annotations
 
-import dataclasses
 import inspect
 from dataclasses import dataclass, field
 
@@ -39,6 +38,7 @@ from repro.protocols.np_protocol import (
     NPSender,
     RoundLimitExceeded,
 )
+from repro.records import JsonRecord
 from repro.resilience.errors import (
     DeliveryCorrupt,
     TransferStalled,
@@ -63,7 +63,7 @@ PROTOCOLS = {
 
 
 @dataclass
-class TransferReport:
+class TransferReport(JsonRecord):
     """Everything measured during one simulated transfer."""
 
     protocol: str
@@ -112,34 +112,6 @@ class TransferReport:
         """Fraction of scheduled NAKs damped before transmission."""
         scheduled = self.naks_sent_total + self.naks_suppressed_total
         return self.naks_suppressed_total / scheduled if scheduled else 0.0
-
-    def to_json(self) -> dict:
-        """JSON-serializable dict; :meth:`from_json` restores an equal report.
-
-        Used by the campaign journal so transfer-level outcomes are
-        self-contained in the record (including the nested resilience
-        section and its replay ``fault_plan``).
-        """
-        data = {
-            f.name: getattr(self, f.name)
-            for f in dataclasses.fields(self)
-            if f.name != "resilience"
-        }
-        data["by_kind"] = dict(self.by_kind)
-        data["resilience"] = self.resilience.to_json()
-        return data
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TransferReport":
-        # keep only known fields so journals written by a newer version
-        # (with added fields) still deserialize
-        known = {f.name for f in dataclasses.fields(cls)}
-        data = {key: value for key, value in data.items() if key in known}
-        data["by_kind"] = dict(data.get("by_kind", {}))
-        data["resilience"] = ResilienceSummary.from_json(
-            data.get("resilience") or {}
-        )
-        return cls(**data)
 
     def summary(self) -> str:
         return (

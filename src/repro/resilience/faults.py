@@ -43,6 +43,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro.records import JsonRecord
 from repro.sim.engine import Simulator
 from repro.sim.network import MulticastNetwork, NetworkStats
 
@@ -50,7 +51,7 @@ __all__ = ["OutageWindow", "ReceiverCrash", "FaultPlan", "FaultInjector"]
 
 
 @dataclass(frozen=True)
-class OutageWindow:
+class OutageWindow(JsonRecord):
     """A ``[start, start + duration)`` fault window.
 
     ``receivers`` limits the window to a subset (None means everyone); the
@@ -78,27 +79,9 @@ class OutageWindow:
     def covers(self, time: float) -> bool:
         return self.start <= time < self.end
 
-    def to_json(self) -> dict:
-        return {
-            "start": self.start,
-            "duration": self.duration,
-            "receivers": (
-                None if self.receivers is None else list(self.receivers)
-            ),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "OutageWindow":
-        receivers = data.get("receivers")
-        return cls(
-            start=float(data["start"]),
-            duration=float(data["duration"]),
-            receivers=None if receivers is None else tuple(receivers),
-        )
-
 
 @dataclass(frozen=True)
-class ReceiverCrash:
+class ReceiverCrash(JsonRecord):
     """Receiver ``receiver`` dies at ``at`` and rejoins after ``downtime``."""
 
     receiver: int
@@ -119,25 +102,14 @@ class ReceiverCrash:
     def rejoin_at(self) -> float:
         return self.at + self.downtime
 
-    def to_json(self) -> dict:
-        return {
-            "receiver": self.receiver,
-            "at": self.at,
-            "downtime": self.downtime,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ReceiverCrash":
-        return cls(
-            receiver=int(data["receiver"]),
-            at=float(data["at"]),
-            downtime=float(data["downtime"]),
-        )
-
 
 @dataclass(frozen=True)
-class FaultPlan:
-    """Declarative, seeded description of every fault a run injects."""
+class FaultPlan(JsonRecord):
+    """Declarative, seeded description of every fault a run injects.
+
+    Plans round-trip through JSON, so any chaos failure can be replayed
+    from the campaign journal alone (plan + seed travel with the record).
+    """
 
     seed: int = 0
     corrupt_prob: float = 0.0
@@ -169,51 +141,6 @@ class FaultPlan:
             and not self.feedback_outages
             and not self.crashes
             and not self.sender_stalls
-        )
-
-    def to_json(self) -> dict:
-        """JSON-serializable dict; :meth:`from_json` restores an equal plan.
-
-        The round trip is what makes campaign journal records
-        self-contained: any chaos failure can be replayed from the journal
-        alone (plan + seed travel with the failure record).
-        """
-        return {
-            "seed": self.seed,
-            "corrupt_prob": self.corrupt_prob,
-            "duplicate_prob": self.duplicate_prob,
-            "jitter": self.jitter,
-            "outages": [window.to_json() for window in self.outages],
-            "feedback_outages": [
-                window.to_json() for window in self.feedback_outages
-            ],
-            "crashes": [crash.to_json() for crash in self.crashes],
-            "sender_stalls": [
-                window.to_json() for window in self.sender_stalls
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FaultPlan":
-        return cls(
-            seed=int(data.get("seed", 0)),
-            corrupt_prob=float(data.get("corrupt_prob", 0.0)),
-            duplicate_prob=float(data.get("duplicate_prob", 0.0)),
-            jitter=float(data.get("jitter", 0.0)),
-            outages=tuple(
-                OutageWindow.from_json(w) for w in data.get("outages", ())
-            ),
-            feedback_outages=tuple(
-                OutageWindow.from_json(w)
-                for w in data.get("feedback_outages", ())
-            ),
-            crashes=tuple(
-                ReceiverCrash.from_json(c) for c in data.get("crashes", ())
-            ),
-            sender_stalls=tuple(
-                OutageWindow.from_json(w)
-                for w in data.get("sender_stalls", ())
-            ),
         )
 
     def describe(self) -> str:

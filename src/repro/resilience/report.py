@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.records import JsonRecord
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.resilience.faults import FaultPlan
 
@@ -26,7 +28,7 @@ __all__ = ["ReceiverStall", "StallReport", "ResilienceSummary"]
 
 
 @dataclass(frozen=True)
-class ReceiverStall:
+class ReceiverStall(JsonRecord):
     """Progress snapshot of one receiver that did not finish."""
 
     receiver_id: int
@@ -42,27 +44,6 @@ class ReceiverStall:
     #: times the receiver crashed and lost its decoder state
     crashes: int
 
-    def to_json(self) -> dict:
-        return {
-            "receiver_id": self.receiver_id,
-            "missing_groups": list(self.missing_groups),
-            "last_progress_time": self.last_progress_time,
-            "watchdog_retries": self.watchdog_retries,
-            "watchdog_exhaustions": self.watchdog_exhaustions,
-            "crashes": self.crashes,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ReceiverStall":
-        return cls(
-            receiver_id=int(data["receiver_id"]),
-            missing_groups=tuple(data.get("missing_groups", ())),
-            last_progress_time=float(data.get("last_progress_time", 0.0)),
-            watchdog_retries=int(data.get("watchdog_retries", 0)),
-            watchdog_exhaustions=int(data.get("watchdog_exhaustions", 0)),
-            crashes=int(data.get("crashes", 0)),
-        )
-
     def summary(self) -> str:
         return (
             f"receiver {self.receiver_id}: missing {len(self.missing_groups)} "
@@ -76,7 +57,7 @@ class ReceiverStall:
 
 
 @dataclass(frozen=True)
-class StallReport:
+class StallReport(JsonRecord):
     """Everything needed to diagnose and reproduce a failed transfer."""
 
     protocol: str
@@ -96,51 +77,6 @@ class StallReport:
     #: failure-domain path -> stalled receivers under it (empty when the
     #: run had no domain tree attached)
     stalled_by_domain: dict[str, tuple[int, ...]] = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        """Self-contained JSON form: carries the replay ``(seed, plan)``."""
-        return {
-            "protocol": self.protocol,
-            "sim_time": self.sim_time,
-            "events_dispatched": self.events_dispatched,
-            "pending_events": self.pending_events,
-            "receivers": [stall.to_json() for stall in self.receivers],
-            "abandoned_groups": list(self.abandoned_groups),
-            "injected_faults": dict(self.injected_faults),
-            "seed": self.seed,
-            "fault_plan": (
-                None if self.fault_plan is None else self.fault_plan.to_json()
-            ),
-            "stalled_by_domain": {
-                domain: list(receivers)
-                for domain, receivers in self.stalled_by_domain.items()
-            },
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "StallReport":
-        from repro.resilience.faults import FaultPlan  # local: cycle guard
-
-        plan = data.get("fault_plan")
-        return cls(
-            protocol=data["protocol"],
-            sim_time=float(data.get("sim_time", 0.0)),
-            events_dispatched=int(data.get("events_dispatched", 0)),
-            pending_events=int(data.get("pending_events", 0)),
-            receivers=tuple(
-                ReceiverStall.from_json(r) for r in data.get("receivers", ())
-            ),
-            abandoned_groups=tuple(data.get("abandoned_groups", ())),
-            injected_faults=dict(data.get("injected_faults", {})),
-            seed=data.get("seed"),
-            fault_plan=None if plan is None else FaultPlan.from_json(plan),
-            stalled_by_domain={
-                domain: tuple(receivers)
-                for domain, receivers in data.get(
-                    "stalled_by_domain", {}
-                ).items()
-            },
-        )
 
     def summary(self) -> str:
         lines = [
@@ -172,7 +108,7 @@ class StallReport:
 
 
 @dataclass
-class ResilienceSummary:
+class ResilienceSummary(JsonRecord):
     """The ``resilience`` section of a :class:`TransferReport`."""
 
     #: the plan in force, None when the fault layer was not engaged
@@ -194,45 +130,3 @@ class ResilienceSummary:
     #: failure-domain path -> ejected receivers under it (empty unless the
     #: transfer ran under a domain tree and degraded)
     ejected_by_domain: dict[str, tuple[int, ...]] = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "fault_plan": (
-                None if self.fault_plan is None else self.fault_plan.to_json()
-            ),
-            "injected": dict(self.injected),
-            "corrupt_discarded": self.corrupt_discarded,
-            "watchdog_retries": self.watchdog_retries,
-            "watchdog_backoff_peak": self.watchdog_backoff_peak,
-            "crashes": self.crashes,
-            "degraded": self.degraded,
-            "abandoned_groups": list(self.abandoned_groups),
-            "ejected_receivers": list(self.ejected_receivers),
-            "ejected_by_domain": {
-                domain: list(receivers)
-                for domain, receivers in self.ejected_by_domain.items()
-            },
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ResilienceSummary":
-        from repro.resilience.faults import FaultPlan  # local: cycle guard
-
-        plan = data.get("fault_plan")
-        return cls(
-            fault_plan=None if plan is None else FaultPlan.from_json(plan),
-            injected=dict(data.get("injected", {})),
-            corrupt_discarded=int(data.get("corrupt_discarded", 0)),
-            watchdog_retries=int(data.get("watchdog_retries", 0)),
-            watchdog_backoff_peak=float(data.get("watchdog_backoff_peak", 0.0)),
-            crashes=int(data.get("crashes", 0)),
-            degraded=bool(data.get("degraded", False)),
-            abandoned_groups=tuple(data.get("abandoned_groups", ())),
-            ejected_receivers=tuple(data.get("ejected_receivers", ())),
-            ejected_by_domain={
-                domain: tuple(receivers)
-                for domain, receivers in data.get(
-                    "ejected_by_domain", {}
-                ).items()
-            },
-        )

@@ -5,6 +5,7 @@ would run them — guarding the examples against API drift.
 """
 
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -59,6 +60,20 @@ class TestExamples:
         )
         assert "fec1" in out
         assert "model" in out
+
+    def test_chaos_study(self):
+        out = run_example("chaos_study.py", "--plans", "4")
+        rows = re.findall(
+            r"^\s*(\d+)\s+(np|layered|n2)\s+(ok|degraded|stalled|timeout)\s",
+            out,
+            re.MULTILINE,
+        )
+        assert sorted((int(plan), protocol) for plan, protocol, _ in rows) == [
+            (plan, protocol)
+            for plan in range(4)
+            for protocol in sorted(("np", "layered", "n2"))
+        ]
+        assert out.count("faults: FaultPlan(") == 4
 
     def test_planning_tool(self):
         out = run_example(

@@ -240,6 +240,21 @@ class TestFigureResultRoundTrip:
         )
         assert roundtrip(figure, FigureResult) == figure
 
+    @given(
+        xs=st.lists(st.integers(1, 10**6), min_size=1, max_size=8),
+        ys=st.lists(finite, min_size=8, max_size=8),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_series_integer_x_stays_int(self, xs, ys):
+        """R = 1, 10, 100 axes are ints; coercing them to float would
+        change figure CSVs and journal digests."""
+        series = Series("s", xs, ys[: len(xs)], replications=list(xs))
+        rebuilt = roundtrip(series, Series)
+        assert rebuilt == series
+        assert all(type(x) is int for x in rebuilt.x)
+        assert all(type(r) is int for r in rebuilt.replications)
+        assert json.dumps(rebuilt.to_json()) == json.dumps(series.to_json())
+
 
 class TestCampaignTypesRoundTrip:
     @given(
