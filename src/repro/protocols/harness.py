@@ -279,7 +279,6 @@ def run_transfer(
     # keep the integer seed (if one was passed) so stall reports can name it
     seed = int(rng) if isinstance(rng, (int, np.integer)) else None
     rng = resolve_rng(rng)
-    sender_cls, receiver_cls = PROTOCOLS[protocol]
 
     sim = Simulator()
     network = MulticastNetwork(
@@ -288,6 +287,40 @@ def run_transfer(
     )
     if fault_plan is not None:
         network = FaultInjector(sim, network, fault_plan)
+    try:
+        return _transfer(
+            protocol, data, loss_model, config, rng, sim, network,
+            seed=seed, max_sim_time=max_sim_time, fault_plan=fault_plan,
+            codec=codec, domains=domains,
+        )
+    finally:
+        # The queued timers, the network's handlers and the protocol
+        # machines hold one another; breaking those cycles here frees the
+        # whole transfer by reference counting, without waiting for the
+        # cyclic collector (which would let memory pile up between its
+        # passes).
+        sim.clear()
+        network.close()
+
+
+def _transfer(
+    protocol: str,
+    data: bytes,
+    loss_model: LossModel,
+    config: NPConfig,
+    rng: np.random.Generator,
+    sim: Simulator,
+    network: MulticastNetwork | FaultInjector,
+    *,
+    seed: int | None,
+    max_sim_time: float,
+    fault_plan: FaultPlan | None,
+    codec: str,
+    domains,
+) -> TransferReport:
+    """Wire the protocol machines onto ``network``, run the transfer to the
+    end and build its report (see :func:`run_transfer`)."""
+    sender_cls, receiver_cls = PROTOCOLS[protocol]
     # One shared codec instance: any generator matrix is cached anyway, and
     # sharing mirrors a real deployment where all parties agree on the code.
     # For codecs with a decode-plan cache (RSE's InverseCache) the cache is

@@ -27,6 +27,7 @@ or a bit-flipped wire frame is detected and dropped.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import zlib
 from dataclasses import dataclass
 
@@ -101,12 +102,15 @@ def control_checksum_of(packet) -> int:
     values — deterministic across processes for the int/str/tuple fields
     control packets carry, and independent of the stored checksum itself.
     """
-    fields = tuple(
-        (f.name, getattr(packet, f.name))
-        for f in dataclasses.fields(packet)
-        if f.name != "checksum"
-    )
-    return zlib.crc32(repr((type(packet).__name__, fields)).encode("utf-8"))
+    cls = type(packet)
+    fields = tuple((name, getattr(packet, name)) for name in _control_fields(cls))
+    return zlib.crc32(repr((cls.__name__, fields)).encode("utf-8"))
+
+
+@functools.cache
+def _control_fields(cls: type) -> tuple[str, ...]:
+    """The names :func:`control_checksum_of` covers, in field order."""
+    return tuple(f.name for f in dataclasses.fields(cls) if f.name != "checksum")
 
 
 def control_intact(packet) -> bool:

@@ -307,6 +307,12 @@ class FaultInjector:
     def _count(self, kind: str) -> None:
         self.inner.stats.count_injected(kind)
 
+    def close(self) -> None:
+        """Drop the receivers and detach the wrapped network's handlers
+        (see :meth:`MulticastNetwork.close`)."""
+        self._receivers = []
+        self.inner.close()
+
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------

@@ -20,6 +20,7 @@ objects to registered handlers and counts what passed through.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Any, Callable
 
 import numpy as np
@@ -152,13 +153,12 @@ class MulticastNetwork:
         """
         self._require_wired()
         lost = self._loss_sampler.sample(np.array([self.sim.now]))[:, 0]
+        survivors = list(compress(self._receiver_handlers, (~lost).tolist()))
         self.stats.downstream_sent += 1
         self.stats.count_kind(kind)
-        self.stats.downstream_lost += int(lost.sum())
-        self.stats.downstream_delivered += int((~lost).sum())
-        for receiver_id in np.flatnonzero(~lost):
-            handler = self._receiver_handlers[receiver_id]
-            self.sim.schedule(self.latency, _deliver(handler, packet))
+        self.stats.downstream_lost += len(lost) - len(survivors)
+        self.stats.downstream_delivered += len(survivors)
+        self.sim.schedule_fanout(self.latency, survivors, packet)
         return lost
 
     def multicast_control(self, packet: Any, kind: str = "poll") -> None:
@@ -172,12 +172,13 @@ class MulticastNetwork:
         self._require_wired()
         self.stats.downstream_sent += 1
         self.stats.count_kind(kind)
-        for handler in self._receiver_handlers:
-            if self.control_loss and self.rng.random() < self.control_loss:
-                self.stats.downstream_lost += 1
-                continue
-            self.stats.downstream_delivered += 1
-            self.sim.schedule(self.latency, _deliver(handler, packet))
+        survivors = self._receiver_handlers
+        if self.control_loss:
+            random = self.rng.random
+            survivors = [h for h in survivors if random() >= self.control_loss]
+            self.stats.downstream_lost += self.n_receivers - len(survivors)
+        self.stats.downstream_delivered += len(survivors)
+        self.sim.schedule_fanout(self.latency, survivors, packet)
 
     # ------------------------------------------------------------------
     # feedback (receiver -> sender + other receivers)
@@ -192,15 +193,19 @@ class MulticastNetwork:
         self._require_wired()
         self.stats.feedback_sent += 1
         self.stats.count_kind(kind)
-        if self.rng.random() >= self.feedback_loss:
+        # one draw for the sender's copy, then one per other receiver in id
+        # order; the sender's copy is delivered first
+        random, loss = self.rng.random, self.feedback_loss
+        survivors = []
+        if random() >= loss:
             self.stats.feedback_delivered += 1
-            self.sim.schedule(self.latency, _deliver(self._sender_handler, packet))
-        for receiver_id, handler in enumerate(self._receiver_handlers):
-            if receiver_id == origin:
-                continue
-            if self.rng.random() < self.feedback_loss:
-                continue
-            self.sim.schedule(self.latency, _deliver(handler, packet))
+            survivors.append(self._sender_handler)
+        survivors += [
+            handler
+            for receiver_id, handler in enumerate(self._receiver_handlers)
+            if receiver_id != origin and random() >= loss
+        ]
+        self.sim.schedule_fanout(self.latency, survivors, packet)
 
     def unicast_feedback(self, packet: Any, kind: str = "ack") -> None:
         """Send feedback to the sender only (used by ACK-style extensions)."""
@@ -209,9 +214,14 @@ class MulticastNetwork:
         self.stats.count_kind(kind)
         if self.rng.random() >= self.feedback_loss:
             self.stats.feedback_delivered += 1
-            self.sim.schedule(self.latency, _deliver(self._sender_handler, packet))
+            self.sim.schedule_fanout(self.latency, (self._sender_handler,), packet)
 
+    def close(self) -> None:
+        """Detach every handler once the transfer is over.
 
-def _deliver(handler: Callable[[Any], None], packet: Any) -> Callable[[], None]:
-    """Bind handler+packet without the late-binding lambda pitfall."""
-    return lambda: handler(packet)
+        The handlers are the protocol machines' bound methods, and the
+        machines hold this network: dropping them breaks the cycle.  The
+        stats stay readable.
+        """
+        self._sender_handler = None
+        self._receiver_handlers = []

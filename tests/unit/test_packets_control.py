@@ -24,6 +24,7 @@ from repro.protocols.packets import (
     SessionComplete,
     SessionFin,
     SessionJoin,
+    _AutoControlChecksum,
     control_checksum_of,
     control_intact,
 )
@@ -108,6 +109,39 @@ class TestControlChecksum:
     def test_session_fin_rejects_unknown_reason(self):
         with pytest.raises(ValueError):
             SessionFin("made-up")
+
+
+#: CRC-32 of each control class's sample, computed by the original
+#: ``dataclasses.fields``-per-call encoding: a change to the bytes the CRC
+#: covers (field order, names, type name, repr) breaks these literals.
+PINNED_CRCS = {
+    "Poll": 3008996710,
+    "Nak": 3965358410,
+    "SelectiveNak": 895778184,
+    "GroupAbort": 1895124517,
+    "SlotNak": 2444236327,
+    "SessionJoin": 1835935176,
+    "SessionAnnounce": 535182026,
+    "SessionComplete": 3906287406,
+    "SessionFin": 1408010825,
+}
+
+
+class TestPinnedControlChecksums:
+    @pytest.mark.parametrize(
+        "packet", CONTROL_SAMPLES, ids=lambda p: type(p).__name__
+    )
+    def test_checksum_matches_literal(self, packet):
+        assert control_checksum_of(packet) == PINNED_CRCS[type(packet).__name__]
+        assert packet.checksum == PINNED_CRCS[type(packet).__name__]
+
+    def test_every_control_class_is_pinned(self):
+        classes, pending = set(), [_AutoControlChecksum]
+        while pending:
+            for sub in pending.pop().__subclasses__():
+                classes.add(sub.__name__)
+                pending.append(sub)
+        assert classes == set(PINNED_CRCS)
 
 
 class TestCorruptControlDropped:

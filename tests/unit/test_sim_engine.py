@@ -164,3 +164,166 @@ class TestRunControl:
         sim.schedule(0.0, lambda: fired.append(sim.now))
         sim.run()
         assert fired == [0.0]
+
+
+class TestFanout:
+    """One heap entry per fan-out, one delivery per step."""
+
+    @staticmethod
+    def recorder(fired, name):
+        return lambda packet: fired.append((name, packet))
+
+    def fanout(self, sim, fired, names, delay=1.0, packet="p"):
+        sim.schedule_fanout(delay, [self.recorder(fired, n) for n in names], packet)
+
+    def test_handlers_run_in_order_with_the_packet(self):
+        sim = Simulator()
+        fired = []
+        self.fanout(sim, fired, "abc", packet="pkt")
+        sim.run()
+        assert fired == [("a", "pkt"), ("b", "pkt"), ("c", "pkt")]
+        assert sim.now == 1.0
+
+    def test_timer_queued_earlier_at_same_instant_fires_first(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(("before", None)))
+        self.fanout(sim, fired, "ab")
+        sim.schedule(1.0, lambda: fired.append(("after", None)))
+        sim.run()
+        assert [name for name, _ in fired] == ["before", "a", "b", "after"]
+
+    def test_zero_delay_event_from_a_handler_fires_after_the_last_receiver(self):
+        sim = Simulator()
+        fired = []
+
+        def second(packet):
+            fired.append(("b", packet))
+            sim.schedule(0.0, lambda: fired.append(("zero", sim.now)))
+
+        sim.schedule_fanout(
+            1.0, [self.recorder(fired, "a"), second, self.recorder(fired, "c")], "p"
+        )
+        sim.run()
+        assert fired == [("a", "p"), ("b", "p"), ("c", "p"), ("zero", 1.0)]
+
+    def test_stepping_loop_that_stops_leaves_later_receivers_undelivered(self):
+        # the harness's `while pending and ...: sim.step()` stops as soon as
+        # the last receiver completes, even partway through a fan-out
+        sim = Simulator()
+        delivered = []
+        handlers = [lambda packet, i=i: delivered.append(i) for i in range(5)]
+        sim.schedule_fanout(1.0, handlers, "p")
+        while 2 not in delivered:
+            assert sim.step()
+        assert delivered == [0, 1, 2]
+        assert sim.events_dispatched == 3
+        assert sim.pending == 2
+
+    def test_matches_one_schedule_per_handler(self):
+        # the same scenario, once with a fan-out and once with one event
+        # per handler, dispatches the same calls in the same order
+        def scenario(fan):
+            sim = Simulator()
+            fired = []
+
+            def handler(i):
+                def on_packet(packet):
+                    fired.append((sim.now, i, packet))
+                    if i % 2 == 0:
+                        sim.schedule(0.0, lambda: fired.append((sim.now, "zero", i)))
+                    if i == 3:
+                        fan(sim, [handler(10), handler(11)], "nested", 0.0)
+                return on_packet
+
+            sim.schedule(0.5, lambda: fired.append((sim.now, "timer", 0)))
+            fan(sim, [handler(i) for i in range(5)], "first", 0.5)
+            sim.schedule(0.5, lambda: fired.append((sim.now, "timer", 1)))
+            fan(sim, [handler(i) for i in range(5, 8)], "second", 0.25)
+            sim.run()
+            return fired, sim.events_dispatched
+
+        def one_per_handler(sim, handlers, packet, delay):
+            for h in handlers:
+                sim.schedule(delay, lambda h=h: h(packet))
+
+        def fanout(sim, handlers, packet, delay):
+            sim.schedule_fanout(delay, handlers, packet)
+
+        assert scenario(fanout) == scenario(one_per_handler)
+
+    def test_events_dispatched_counts_every_delivery(self):
+        sim = Simulator()
+        fired = []
+        self.fanout(sim, fired, "abcd")
+        sim.schedule(2.0, lambda: None)
+        assert sim.pending == 5
+        sim.run()
+        assert sim.events_dispatched == 5
+        assert sim.pending == 0
+
+    def test_run_until_drains_a_started_fanout(self):
+        sim = Simulator()
+        fired = []
+        self.fanout(sim, fired, "abc")
+        sim.schedule(3.0, lambda: fired.append(("late", None)))
+        assert sim.step()
+        sim.run(until=1.0)
+        assert [name for name, _ in fired] == ["a", "b", "c"]
+        assert sim.now == 1.0
+        assert sim.pending == 1
+
+    def test_run_until_before_the_fanout_delivers_nothing(self):
+        sim = Simulator()
+        fired = []
+        self.fanout(sim, fired, "ab", delay=2.0)
+        sim.run(until=1.0)
+        assert fired == []
+        assert sim.pending == 2
+
+    def test_budget_exhaustion_inside_a_fanout(self):
+        sim = Simulator(max_events=2)
+        fired = []
+        self.fanout(sim, fired, "abcd")
+        with pytest.raises(SimulationError, match="budget exhausted") as excinfo:
+            sim.run()
+        assert [name for name, _ in fired] == ["a", "b"]
+        message = str(excinfo.value)
+        assert "sim clock t=1.000" in message
+        assert "1 events pending" in message
+        assert "3 dispatched" in message
+
+    def test_empty_fanout_queues_nothing(self):
+        sim = Simulator()
+        sim.schedule_fanout(1.0, [], "p")
+        assert sim.pending == 0
+        assert sim.step() is False
+
+    def test_negative_delay_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="into the past"):
+            sim.schedule_fanout(-1.0, [print], "p")
+
+
+class TestClear:
+    def test_clear_cancels_queued_events_and_drops_fanouts(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append("timer"))
+        sim.schedule_fanout(1.0, [fired.append, fired.append], "p")
+        handle = sim.schedule(2.0, lambda: fired.append("later"))
+        assert sim.step()
+        assert sim.step()
+        sim.clear()
+        assert handle.cancelled and handle.callback is None
+        assert sim.pending == 0
+        assert sim.step() is False
+        assert fired == ["timer", "p"]
+
+    def test_cancel_releases_the_callback(self):
+        sim = Simulator()
+        handle = sim.schedule(1.0, lambda: None)
+        handle.cancel()
+        assert handle.callback is None
+        sim.run()
+        assert sim.events_dispatched == 0
