@@ -226,7 +226,16 @@ class BlockDecoder:
         self.duplicates = 0
 
     def add(self, block_index: int, payload: bytes | np.ndarray) -> bool:
-        """Absorb one packet; returns True if the group is now decodable."""
+        """Absorb one packet; returns True if the group is now decodable.
+
+        Raises ``ValueError`` for an index outside the block (``0..n-1``)
+        without storing it, so one stray packet cannot poison the buffer.
+        """
+        if not 0 <= block_index < self.codec.n:
+            raise ValueError(
+                f"packet index out of range for block length "
+                f"n={self.codec.n}: {block_index}"
+            )
         if self._decoded is not None:
             self.duplicates += 1
             return True
@@ -242,7 +251,9 @@ class BlockDecoder:
             return True
         if len(self.received) < self.k:
             return False
-        return self.codec.decodable_from(self.received)
+        # add() keeps every held index in range, so an MDS code needs no
+        # pattern check: any k of them decode
+        return self.codec.is_mds or self.codec.decodable_from(self.received)
 
     @property
     def missing(self) -> int:

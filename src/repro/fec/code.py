@@ -229,23 +229,31 @@ class ErasureCode(abc.ABC):
                     )
             return arr
         raw = bytes(packet)
+        self._byte_symbol_count(len(raw))
         if self.field.m == 4:
             octets = np.frombuffer(raw, dtype=np.uint8)
             symbols = np.empty(2 * octets.size, dtype=np.uint8)
             symbols[0::2] = octets >> 4
             symbols[1::2] = octets & 0x0F
             return symbols
+        return np.frombuffer(raw, dtype=self.field.dtype)
+
+    def _byte_symbol_count(self, size: int) -> int:
+        """Symbols a ``size``-byte payload carries; raises ``ValueError``
+        for a width byte payloads cannot use or a ragged length."""
+        if self.field.m == 4:
+            return 2 * size
         if self.field.m not in (8, 16):
             raise ValueError(
                 f"byte payloads are only supported for m in (4, 8, 16); "
                 f"use encode_symbols/decode_symbols for GF(2^{self.field.m})"
             )
-        if len(raw) % self._symbol_bytes:
+        if size % self._symbol_bytes:
             raise ValueError(
-                f"packet length {len(raw)} is not a multiple of the "
+                f"packet length {size} is not a multiple of the "
                 f"{self._symbol_bytes}-byte symbol size of GF(2^{self.field.m})"
             )
-        return np.frombuffer(raw, dtype=self.field.dtype)
+        return size // self._symbol_bytes
 
     def _to_bytes(self, symbols: np.ndarray) -> bytes:
         if self.field.m == 4:
@@ -471,6 +479,10 @@ class ErasureCode(abc.ABC):
         DecodeError
             If fewer than ``k`` distinct packets were supplied, or the
             erasure pattern is unrecoverable for this code.
+
+        A systematic code holding every data index ``0..k-1`` decodes
+        nothing (Section 2.1): the data packets come back without a symbol
+        round-trip, after the same validation as the general path.
         """
         if not received:
             raise DecodeError("no packets received")
@@ -483,6 +495,8 @@ class ErasureCode(abc.ABC):
             raise DecodeError(
                 f"need at least k={self.k} packets to decode, got {len(indices)}"
             )
+        if self.systematic and indices[self.k - 1] == self.k - 1:
+            return self._decode_loss_free(received)
         rows = {i: self._to_symbols(p) for i, p in received.items()}
         lengths = {row.shape[0] for row in rows.values()}
         if len(lengths) != 1:
@@ -490,6 +504,30 @@ class ErasureCode(abc.ABC):
 
         decoded = self.decode_symbols(rows)
         return [self._to_bytes(decoded[i]) for i in range(self.k)]
+
+    def _decode_loss_free(self, received: dict[int, bytes]) -> list[bytes]:
+        """:meth:`decode` when every data packet arrived: pass them through.
+
+        Every held packet, parities included, is checked as the general
+        path checks it (symbol alignment, field range, equal symbol
+        counts); ``bytes`` payloads are only measured, never converted,
+        and come back as they are.
+        """
+        rows: dict[int, bytes | np.ndarray] = {}
+        lengths = set()
+        for index, packet in received.items():
+            if type(packet) is bytes:
+                lengths.add(self._byte_symbol_count(len(packet)))
+            else:
+                packet = self._to_symbols(packet)
+                lengths.add(packet.shape[0])
+            rows[index] = packet
+        if len(lengths) != 1:
+            raise ValueError("received packets have inconsistent lengths")
+        return [
+            row if type(row) is bytes else self._to_bytes(row)
+            for row in (rows[i] for i in range(self.k))
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (

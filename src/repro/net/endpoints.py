@@ -406,6 +406,8 @@ class _ReceiverProtocol(asyncio.DatagramProtocol):
         tg = packet.tg
         if not 0 <= tg < self.announce.n_groups:
             return
+        if not 0 <= packet.index < self.codec.n:
+            return  # a stray block index would be refused by the decoder
         self.last_stream_rx = now
         if tg > self.max_tg_seen:
             # the stream has reached tg: every earlier group is in play,

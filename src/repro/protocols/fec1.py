@@ -219,12 +219,12 @@ class Fec1Receiver:
             tg, BlockDecoder(self.config.k, self.codec)
         )
         before = len(decoder.received)
-        decoder.add(packet.index, packet.payload)
+        decodable = decoder.add(packet.index, packet.payload)
         if len(decoder.received) == before:
             self.stats.duplicates += 1
             return
         self.stats.last_progress_time = self.sim.now
-        if decoder.decodable:
+        if decodable:
             self.stats.packets_reconstructed += decoder.decoding_work()
             self._delivered[tg] = decoder.reconstruct()
             self.stats.groups_decoded += 1

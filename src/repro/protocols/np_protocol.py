@@ -440,6 +440,9 @@ class NPReceiver:
         self.receiver_id = network.attach_receiver(self.on_packet)
 
         self._decoders: dict[int, BlockDecoder] = {}
+        #: packets held across ``_decoders`` (kept equal to the sum of
+        #: their ``received`` sizes without walking them per packet)
+        self._buffered_packets = 0
         self._delivered: dict[int, list[bytes]] = {}
         self._watchdogs: dict[int, EventHandle] = {}
         self._watchdog_retries: dict[int, int] = {}
@@ -528,12 +531,13 @@ class NPReceiver:
             return
         decoder = self._decoder_for(tg)
         before = len(decoder.received)
-        decoder.add(packet.index, packet.payload)
+        decodable = decoder.add(packet.index, packet.payload)
         if len(decoder.received) == before:
             self.stats.duplicates += 1
         else:
             self.stats.last_progress_time = self.sim.now
-        if not decoder.decodable:
+            self._buffered_packets += 1
+        if not decodable:
             # the group is known-incomplete: if the coming poll gets lost
             # (lossy control plane) this timer keeps us live by NAKing
             # spontaneously; any later packet or poll re-feeds it
@@ -542,20 +546,20 @@ class NPReceiver:
                 self.stats.peak_buffered_groups, len(self._decoders)
             )
             self.stats.peak_buffered_packets = max(
-                self.stats.peak_buffered_packets,
-                sum(len(d.received) for d in self._decoders.values()),
+                self.stats.peak_buffered_packets, self._buffered_packets
             )
-        if decoder.decodable:
-            self.stats.packets_reconstructed += decoder.decoding_work()
-            self._delivered[tg] = decoder.reconstruct()
-            self.stats.groups_decoded += 1
-            self.slotter.cancel_group(tg)
-            self._cancel_watchdog(tg)
-            del self._decoders[tg]
-            if self.complete:
-                self.stats.completion_time = self.sim.now
-                if self.on_complete is not None:
-                    self.on_complete(self.receiver_id)
+            return
+        self.stats.packets_reconstructed += decoder.decoding_work()
+        self._delivered[tg] = decoder.reconstruct()
+        self._buffered_packets -= len(decoder.received)
+        self.stats.groups_decoded += 1
+        self.slotter.cancel_group(tg)
+        self._cancel_watchdog(tg)
+        del self._decoders[tg]
+        if self.complete:
+            self.stats.completion_time = self.sim.now
+            if self.on_complete is not None:
+                self.on_complete(self.receiver_id)
 
     def _on_poll(self, poll: Poll) -> None:
         self.stats.polls_received += 1
@@ -594,7 +598,9 @@ class NPReceiver:
         self.slotter.cancel_group(tg)
         self._cancel_watchdog(tg)
         self._watchdog_retries.pop(tg, None)
-        self._decoders.pop(tg, None)
+        decoder = self._decoders.pop(tg, None)
+        if decoder is not None:
+            self._buffered_packets -= len(decoder.received)
 
     # ------------------------------------------------------------------
     # watchdog (feedback-loss robustness; disabled by default)
@@ -636,6 +642,8 @@ class NPReceiver:
     def _feed_watchdog(self, tg: int) -> None:
         # any sign of life for the group means the sender heard us: cancel
         # the timer and restart the backoff schedule from the base interval
+        if not (self._watchdogs or self._watchdog_retries):
+            return  # nothing armed or counted (always so without a watchdog)
         self._cancel_watchdog(tg)
         self._watchdog_retries.pop(tg, None)
 
@@ -656,6 +664,7 @@ class NPReceiver:
         """
         self.stats.crashes += 1
         self._decoders.clear()
+        self._buffered_packets = 0
         self._last_round.clear()
         self._watchdog_retries.clear()
         for handle in self._watchdogs.values():

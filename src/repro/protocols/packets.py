@@ -28,8 +28,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import operator
 import zlib
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -98,19 +100,45 @@ def payload_symbols(packet, field) -> np.ndarray:
 def control_checksum_of(packet) -> int:
     """CRC-32 over a control packet's semantic fields (all but ``checksum``).
 
-    The encoding is the ``repr`` of the type name plus the sorted field
-    values — deterministic across processes for the int/str/tuple fields
-    control packets carry, and independent of the stored checksum itself.
+    The encoding is ``repr((type_name, ((field, value), ...)))`` over the
+    fields in declaration order — deterministic across processes for the
+    int/str/tuple fields control packets carry, and independent of the
+    stored checksum itself.  It is produced by formatting the class's
+    precomputed template (:func:`_control_layout`) with the field values,
+    so no nested tuple is built per packet.
     """
-    cls = type(packet)
-    fields = tuple((name, getattr(packet, name)) for name in _control_fields(cls))
-    return zlib.crc32(repr((cls.__name__, fields)).encode("utf-8"))
+    template, values = _control_layout(type(packet))
+    return zlib.crc32((template % values(packet)).encode("utf-8"))
 
 
 @functools.cache
 def _control_fields(cls: type) -> tuple[str, ...]:
     """The names :func:`control_checksum_of` covers, in field order."""
     return tuple(f.name for f in dataclasses.fields(cls) if f.name != "checksum")
+
+
+class _Slot:
+    """Stands in for a field value while a template is built."""
+
+    def __repr__(self) -> str:
+        return "%r"
+
+
+@functools.cache
+def _control_layout(cls: type) -> tuple[str, Callable[[object], tuple]]:
+    """``cls``'s checksum template and the getter of its field values.
+
+    The template is the ``repr`` of the encoding with every value replaced
+    by ``%r`` (which formats a value as its ``repr``), so the tuple
+    punctuation, a single field's trailing comma included, is Python's
+    own.  Class and field names are identifiers and so contain no ``%``.
+    """
+    names = _control_fields(cls)
+    template = repr((cls.__name__, tuple((name, _Slot()) for name in names)))
+    if len(names) > 1:
+        return template, operator.attrgetter(*names)
+    # attrgetter of one name returns the bare value, not a 1-tuple
+    return template, lambda packet: tuple(getattr(packet, n) for n in names)
 
 
 def control_intact(packet) -> bool:

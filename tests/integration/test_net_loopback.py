@@ -20,6 +20,8 @@ import pytest
 
 from repro.campaign.retry import RetryPolicy
 from repro.net import ChaosPlan, ChaosProxy, NetConfig, NetServer, fetch
+from repro.net.session import SenderSession
+from repro.protocols.packets import DataPacket, ParityPacket
 from repro.resilience.errors import TransferStalled, TransferTimeout
 
 pytestmark = pytest.mark.timeout(180)
@@ -121,6 +123,47 @@ class TestCleanLoopback:
         assert all(result.data == data for result in results)
         assert len(reports) == 2
         assert {report.group for report in reports} == {1, 2}
+
+
+class TestStrayBlockIndex:
+    def test_stray_index_frame_does_not_block_delivery(self, monkeypatch):
+        # Ahead of each group's first data packet the sender also emits a
+        # CRC-valid payload frame whose block index lies past the FEC
+        # block (n = k + h).  The receiver must drop it like an
+        # out-of-range group: stored, it would make the group's decoder
+        # raise on every later packet and the group would never deliver.
+        config = NetConfig(k=4, h=4, packet_size=128, seed=3)
+        data = payload(3, config)
+        stray_index = config.k + config.h + 5
+        strays = []
+        fanout = SenderSession._fanout
+
+        def fanout_with_strays(session, packet):
+            if isinstance(packet, DataPacket) and packet.index == 0:
+                stray = ParityPacket(packet.tg, stray_index, packet.payload)
+                strays.append(stray)
+                fanout(session, stray)
+            fanout(session, packet)
+
+        monkeypatch.setattr(SenderSession, "_fanout", fanout_with_strays)
+
+        async def scenario():
+            server = NetServer(data, config)
+            host, port = await server.start()
+            try:
+                return await fetch(
+                    host,
+                    port,
+                    config=NetConfig(k=4, h=4, packet_size=128, seed=4),
+                    deadline=10.0,
+                )
+            finally:
+                await server.close()
+
+        result = run_bounded(scenario())
+        assert len(strays) == result.n_groups == 3
+        assert result.data == data
+        assert result.complete
 
 
 class TestChaosTransfer:

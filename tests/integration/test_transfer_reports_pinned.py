@@ -9,10 +9,16 @@ every field equal — ``events_dispatched``, duplicates and completion
 times included — so the fixture must never be regenerated from the code
 it checks.
 
+The ``eject`` cases were added later (``git show 6e00e9a``), before the
+receiver's buffer accounting went from a per-packet sum to a running
+count; they drive ``GroupAbort`` into receivers that still hold buffered
+packets.
+
 The ``__main__`` block is how the fixture was written
-(``PYTHONPATH=src python -m tests.integration.test_transfer_reports_pinned``);
-run it only for a change meant to alter transfer outcomes, never to make
-this test pass for one that is not.
+(``PYTHONPATH=src python -m tests.integration.test_transfer_reports_pinned``).
+It only adds cases the fixture lacks and never rewrites a pinned entry;
+run it for a new case, never to make this test pass for a change that
+alters an existing one.
 """
 
 from __future__ import annotations
@@ -62,7 +68,22 @@ SETUPS = {
         ),
         max_sim_time=400.0,
     ),
+    # a two-round cap under heavy loss: the sender abandons groups that
+    # receivers still hold undecoded packets for, so GroupAbort reaches
+    # receivers with buffered state; the slower stream keeps later groups
+    # arriving after the first aborts, so the buffer peaks they set
+    # depend on what an abort released
+    "eject": dict(
+        config=NPConfig(
+            k=4, h=6, packet_size=128, packet_interval=0.02, slot_time=0.02,
+            max_rounds=2, degradation_policy="eject",
+        ),
+    ),
 }
+
+#: setup name -> per-receiver Bernoulli loss probability
+LOSS_PROB = {"eject": 0.2}
+DEFAULT_LOSS_PROB = 0.08
 
 CASES = [(protocol, setup) for setup in SETUPS for protocol in sorted(PROTOCOLS)]
 
@@ -80,7 +101,7 @@ def run_case(protocol: str, setup: str) -> dict:
         report = run_transfer(
             protocol,
             PAYLOAD,
-            BernoulliLoss(N_RECEIVERS, 0.08),
+            BernoulliLoss(N_RECEIVERS, LOSS_PROB.get(setup, DEFAULT_LOSS_PROB)),
             rng=seed,
             **SETUPS[setup],
         )
@@ -104,6 +125,9 @@ def test_report_matches_pinned_fixture(protocol, setup):
 
 
 if __name__ == "__main__":
-    reports = {case_id(*case): run_case(*case) for case in CASES}
+    reports = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+    added = [case for case in CASES if case_id(*case) not in reports]
+    for case in added:
+        reports[case_id(*case)] = run_case(*case)
     FIXTURE.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(reports)} reports to {FIXTURE}")
+    print(f"added {len(added)} reports to {FIXTURE}")

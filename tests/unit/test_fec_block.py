@@ -162,6 +162,24 @@ class TestBlockDecoder:
         with pytest.raises(ValueError, match="does not match"):
             BlockDecoder(5, RSECodec(4, 1))
 
+    @pytest.mark.parametrize("stray", [-1, 6, 9])
+    def test_stray_index_rejected_without_poisoning(self, rng, stray):
+        # indices outside 0..n-1 (n = 6 here) are refused before they are
+        # stored; a stored one made every later decodability test raise
+        codec = RSECodec(4, 2)
+        data = [rng.bytes(16) for _ in range(4)]
+        parities = codec.encode(data)
+        decoder = BlockDecoder(4, codec)
+        decoder.add(0, data[0])
+        with pytest.raises(ValueError, match="out of range"):
+            decoder.add(stray, data[1])
+        assert set(decoder.received) == {0}
+        assert decoder.add(1, data[1]) is False
+        assert decoder.add(4, parities[0]) is False
+        assert decoder.missing == 1
+        assert decoder.add(5, parities[1]) is True
+        assert decoder.reconstruct() == data
+
 
 # ----------------------------------------------------------------------
 # framing against the codec *interface*: registry names, a non-MDS code,

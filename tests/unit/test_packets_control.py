@@ -8,9 +8,12 @@ like once decoded) is *dropped*, never acted on.
 """
 
 import dataclasses
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.protocols.layered import LayeredReceiver, LayeredSender, SlotNak
 from repro.protocols.n2 import N2Receiver, N2Sender
@@ -25,6 +28,7 @@ from repro.protocols.packets import (
     SessionFin,
     SessionJoin,
     _AutoControlChecksum,
+    _control_layout,
     control_checksum_of,
     control_intact,
 )
@@ -127,6 +131,16 @@ PINNED_CRCS = {
 }
 
 
+def control_classes() -> list[type]:
+    """Every control packet class, by name."""
+    classes, pending = [], [_AutoControlChecksum]
+    while pending:
+        for sub in pending.pop().__subclasses__():
+            classes.append(sub)
+            pending.append(sub)
+    return sorted(classes, key=lambda cls: cls.__name__)
+
+
 class TestPinnedControlChecksums:
     @pytest.mark.parametrize(
         "packet", CONTROL_SAMPLES, ids=lambda p: type(p).__name__
@@ -136,12 +150,81 @@ class TestPinnedControlChecksums:
         assert packet.checksum == PINNED_CRCS[type(packet).__name__]
 
     def test_every_control_class_is_pinned(self):
-        classes, pending = set(), [_AutoControlChecksum]
-        while pending:
-            for sub in pending.pop().__subclasses__():
-                classes.add(sub.__name__)
-                pending.append(sub)
-        assert classes == set(PINNED_CRCS)
+        assert {cls.__name__ for cls in control_classes()} == set(PINNED_CRCS)
+
+
+def oracle_encoding(packet) -> str:
+    """The checksummed encoding as first written: the ``repr`` of a nested
+    ``(type name, ((field, value), ...))`` tuple built per packet."""
+    cls = type(packet)
+    fields = tuple(
+        (f.name, getattr(packet, f.name))
+        for f in dataclasses.fields(cls)
+        if f.name != "checksum"
+    )
+    return repr((cls.__name__, fields))
+
+
+def template_encoding(packet) -> str:
+    template, values = _control_layout(type(packet))
+    return template % values(packet)
+
+
+def unchecked(cls: type, values: dict):
+    """An instance of ``cls`` holding ``values`` as they are, without the
+    constructor's validation or checksum stamping."""
+    packet = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(packet, name, value)
+    object.__setattr__(packet, "checksum", None)
+    return packet
+
+
+#: control field values the encoding must carry exactly
+FIELD_VALUES = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.text(
+        alphabet=st.one_of(
+            st.sampled_from("'\"\\%\n\t"), st.characters(min_codepoint=32)
+        ),
+        max_size=12,
+    ),
+    st.tuples(st.integers(min_value=-(2**40), max_value=2**40)),
+    st.lists(st.integers(min_value=-5, max_value=2**33), max_size=5).map(tuple),
+)
+
+
+class TestControlChecksumLayout:
+    """The per-class template feeds ``crc32`` the oracle's exact bytes."""
+
+    @pytest.mark.parametrize(
+        "packet", CONTROL_SAMPLES, ids=lambda p: type(p).__name__
+    )
+    def test_template_matches_oracle(self, packet):
+        assert template_encoding(packet) == oracle_encoding(packet)
+        assert control_checksum_of(packet) == zlib.crc32(
+            oracle_encoding(packet).encode("utf-8")
+        )
+
+    def test_single_field_keeps_trailing_comma(self):
+        fin = SessionFin("aborted")
+        assert template_encoding(fin) == "('SessionFin', (('reason', 'aborted'),))"
+
+    def test_tuple_field_is_formatted_as_one_value(self):
+        for missing in ((), (7,), (0, 3, 9)):
+            nak = SelectiveNak(2, missing, 1)
+            assert template_encoding(nak) == oracle_encoding(nak)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_template_matches_oracle_for_any_values(self, data):
+        cls = data.draw(st.sampled_from(control_classes()))
+        names = [f.name for f in dataclasses.fields(cls) if f.name != "checksum"]
+        packet = unchecked(cls, {name: data.draw(FIELD_VALUES) for name in names})
+        assert template_encoding(packet) == oracle_encoding(packet)
+        assert control_checksum_of(packet) == zlib.crc32(
+            oracle_encoding(packet).encode("utf-8")
+        )
 
 
 class TestCorruptControlDropped:
